@@ -2,39 +2,16 @@
 // document, the human-readable summary, the two-report diff, and the metrics
 // bridge.  Kept apart from analysis.cpp so the computation stays I/O-free.
 #include <algorithm>
-#include <charconv>
-#include <cmath>
 #include <ostream>
 #include <string>
 
 #include "src/analysis/analysis.hpp"
+#include "src/util/json.hpp"
 #include "src/util/table.hpp"
 
 namespace noceas::analysis {
 
 namespace {
-
-// Same shortest-round-trip double formatting as the decision log, so the two
-// artifact families agree on number rendering.
-std::string fmt(double v) {
-  if (!std::isfinite(v)) return "null";  // NaN/inf are not JSON
-  char buf[64];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  return ec == std::errc() ? std::string(buf, ptr) : std::string("0");
-}
-
-void write_string(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      default: os << c;
-    }
-  }
-  os << '"';
-}
 
 /// kNoDeadline round-trips as -1 (decision-log convention).
 std::int64_t time_repr(Time t) { return t == kNoDeadline ? -1 : t; }
@@ -53,9 +30,9 @@ void write_task(std::ostream& os, const TaskAttribution& a, std::size_t id) {
      << ",\"link_wait\":" << a.link_wait << ",\"pe_wait\":" << a.pe_wait
      << ",\"deadline\":" << time_repr(a.deadline) << ",\"bd\":" << time_repr(a.budgeted_deadline);
   if (a.has_budget) {
-    os << ",\"granted_slack\":" << fmt(a.granted_slack)
-       << ",\"consumed_slack\":" << fmt(a.consumed_slack)
-       << ",\"residual_slack\":" << fmt(a.residual_slack);
+    os << ",\"granted_slack\":" << json::number(a.granted_slack)
+       << ",\"consumed_slack\":" << json::number(a.consumed_slack)
+       << ",\"residual_slack\":" << json::number(a.residual_slack);
   }
   os << ",\"blockers\":[";
   for (std::size_t i = 0; i < a.blockers.size(); ++i) {
@@ -133,7 +110,7 @@ ReportDelta diff_reports(const Report& a, const Report& b) {
 
 void write_analysis_json(std::ostream& os, const Report& r) {
   os << "{\"schema\":\"noceas.analysis.v1\",\"label\":";
-  write_string(os, r.label);
+  json::write_string(os, r.label);
   os << ",\"num_tasks\":" << r.num_tasks << ",\"num_edges\":" << r.num_edges
      << ",\"num_pes\":" << r.num_pes << ",\"num_links\":" << r.num_links
      << ",\"makespan\":" << r.makespan;
@@ -170,7 +147,7 @@ void write_analysis_json(std::ostream& os, const Report& r) {
     const PeUsage& u = r.pes[i];
     if (i > 0) os << ',';
     os << "{\"pe\":" << u.pe << ",\"tasks\":" << u.tasks << ",\"busy\":" << u.busy
-       << ",\"utilization\":" << fmt(u.utilization) << ",\"idle_gaps\":" << u.idle_gaps
+       << ",\"utilization\":" << json::number(u.utilization) << ",\"idle_gaps\":" << u.idle_gaps
        << ",\"idle_time\":" << u.idle_time << ",\"longest_idle\":" << u.longest_idle << '}';
   }
   os << ']';
@@ -180,7 +157,7 @@ void write_analysis_json(std::ostream& os, const Report& r) {
     const LinkUsage& u = r.links[i];
     if (i > 0) os << ',';
     os << "{\"link\":" << u.link << ",\"transactions\":" << u.transactions
-       << ",\"busy\":" << u.busy << ",\"utilization\":" << fmt(u.utilization)
+       << ",\"busy\":" << u.busy << ",\"utilization\":" << json::number(u.utilization)
        << ",\"contention_time\":" << u.contention_time << ",\"contention_windows\":[";
     for (std::size_t w = 0; w < u.contention_windows.size(); ++w) {
       if (w > 0) os << ',';
@@ -192,39 +169,39 @@ void write_analysis_json(std::ostream& os, const Report& r) {
   os << ']';
 
   const EnergyAttribution& en = r.energy;
-  os << ",\"energy\":{\"computation\":" << fmt(en.totals.computation)
-     << ",\"communication\":" << fmt(en.totals.communication)
-     << ",\"total\":" << fmt(en.totals.total()) << ",\"per_task\":[";
+  os << ",\"energy\":{\"computation\":" << json::number(en.totals.computation)
+     << ",\"communication\":" << json::number(en.totals.communication)
+     << ",\"total\":" << json::number(en.totals.total()) << ",\"per_task\":[";
   for (std::size_t i = 0; i < en.per_task.size(); ++i) {
     if (i > 0) os << ',';
-    os << fmt(en.per_task[i]);
+    os << json::number(en.per_task[i]);
   }
   os << "],\"per_edge\":[";
   for (std::size_t i = 0; i < en.per_edge.size(); ++i) {
     if (i > 0) os << ',';
-    os << fmt(en.per_edge[i]);
+    os << json::number(en.per_edge[i]);
   }
   os << "],\"per_link\":[";
   for (std::size_t i = 0; i < en.per_link.size(); ++i) {
     const LinkEnergyRow& row = en.per_link[i];
     if (i > 0) os << ',';
     os << "{\"link\":" << row.link << ",\"bits\":" << row.bits
-       << ",\"link_energy\":" << fmt(row.link_energy)
-       << ",\"switch_energy\":" << fmt(row.switch_energy) << '}';
+       << ",\"link_energy\":" << json::number(row.link_energy)
+       << ",\"switch_energy\":" << json::number(row.switch_energy) << '}';
   }
   os << "],\"injection\":[";
   for (std::size_t i = 0; i < en.injection.size(); ++i) {
     const InjectionEnergyRow& row = en.injection[i];
     if (i > 0) os << ',';
     os << "{\"pe\":" << row.pe << ",\"bits\":" << row.bits
-       << ",\"switch_energy\":" << fmt(row.switch_energy) << '}';
+       << ",\"switch_energy\":" << json::number(row.switch_energy) << '}';
   }
   os << "],\"per_hop\":[";
   for (std::size_t i = 0; i < en.per_hop.size(); ++i) {
     const HopEnergyRow& row = en.per_hop[i];
     if (i > 0) os << ',';
     os << "{\"hops\":" << row.hops << ",\"packets\":" << row.packets
-       << ",\"energy\":" << fmt(row.energy) << '}';
+       << ",\"energy\":" << json::number(row.energy) << '}';
   }
   os << "]}}\n";
 }

@@ -1,7 +1,5 @@
 #include "src/audit/decision_log.hpp"
 
-#include <charconv>
-#include <cmath>
 #include <istream>
 #include <ostream>
 
@@ -13,26 +11,6 @@ namespace noceas::audit {
 namespace {
 
 // ---- JSON writing ----------------------------------------------------------
-
-std::string fmt(double v) {
-  if (!std::isfinite(v)) return "null";  // NaN/inf are not JSON
-  char buf[64];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  return ec == std::errc() ? std::string(buf, ptr) : std::string("0");
-}
-
-void write_string(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      default: os << c;
-    }
-  }
-  os << '"';
-}
 
 template <typename T>
 void write_int_array(std::ostream& os, const std::vector<T>& xs) {
@@ -53,7 +31,7 @@ void write_place(std::ostream& os, const DecisionEvent& e) {
   os << "{\"type\":\"place\",\"seq\":" << e.seq << ",\"task\":" << d.task << ",\"pe\":" << d.pe
      << ",\"start\":" << d.start << ",\"finish\":" << d.finish
      << ",\"bd\":" << budget_repr(d.budget) << ",\"rule\":";
-  write_string(os, d.rule);
+  json::write_string(os, d.rule);
   os << ",\"ready\":";
   write_int_array(os, d.ready);
   os << ",\"candidates\":[";
@@ -61,8 +39,8 @@ void write_place(std::ostream& os, const DecisionEvent& e) {
     const CandidateRow& c = d.candidates[i];
     if (i > 0) os << ',';
     os << "{\"task\":" << c.task << ",\"pe\":" << c.pe << ",\"f\":" << c.finish
-       << ",\"e\":" << fmt(c.energy) << ",\"feasible\":" << (c.feasible ? "true" : "false")
-       << ",\"score\":" << fmt(c.score) << '}';
+       << ",\"e\":" << json::number(c.energy) << ",\"feasible\":" << (c.feasible ? "true" : "false")
+       << ",\"score\":" << json::number(c.score) << '}';
   }
   os << "],\"comms\":[";
   for (std::size_t i = 0; i < d.comms.size(); ++i) {
@@ -80,14 +58,14 @@ void write_place(std::ostream& os, const DecisionEvent& e) {
 void write_move(std::ostream& os, const DecisionEvent& e) {
   const RepairMoveRecord& m = e.move;
   os << "{\"type\":\"repair_move\",\"seq\":" << e.seq << ",\"kind\":";
-  write_string(os, m.kind);
+  json::write_string(os, m.kind);
   os << ",\"task\":" << m.task;
   if (m.kind == "lts") {
     os << ",\"pe\":" << m.pe << ",\"pos_a\":" << m.pos_a << ",\"pos_b\":" << m.pos_b
        << ",\"swap_with\":" << m.swap_with;
   } else {
     os << ",\"from_pe\":" << m.from_pe << ",\"to_pe\":" << m.to_pe
-       << ",\"insert_index\":" << m.insert_index << ",\"delta_e\":" << fmt(m.delta_energy);
+       << ",\"insert_index\":" << m.insert_index << ",\"delta_e\":" << json::number(m.delta_energy);
   }
   os << ",\"accepted\":" << (m.accepted ? "true" : "false")
      << ",\"misses_before\":" << m.misses_before << ",\"misses_after\":" << m.misses_after
@@ -107,9 +85,9 @@ void write_final(std::ostream& os, const FinalRecord& f) {
     os << '[' << f.comms[i].src_pe << ',' << f.comms[i].dst_pe << ',' << f.comms[i].start << ','
        << f.comms[i].duration << ']';
   }
-  os << "],\"comp_energy\":" << fmt(f.computation_energy)
-     << ",\"comm_energy\":" << fmt(f.communication_energy) << ",\"misses\":" << f.miss_count
-     << ",\"tardiness\":" << f.total_tardiness << "}\n";
+  os << "],\"comp_energy\":" << json::number(f.computation_energy)
+     << ",\"comm_energy\":" << json::number(f.communication_energy)
+     << ",\"misses\":" << f.miss_count << ",\"tardiness\":" << f.total_tardiness << "}\n";
 }
 
 // ---- JSON parsing ----------------------------------------------------------
@@ -262,7 +240,7 @@ void DecisionLog::write_jsonl(std::ostream& os) const { write_decision_jsonl(os,
 
 void write_decision_jsonl(std::ostream& os, const DecisionStream& stream) {
   os << "{\"schema\":\"noceas.decisions.v1\",\"scheduler\":";
-  write_string(os, stream.scheduler);
+  json::write_string(os, stream.scheduler);
   os << ",\"tasks\":" << stream.num_tasks << ",\"edges\":" << stream.num_edges
      << ",\"pes\":" << stream.num_pes << "}\n";
   for (const DecisionEvent& e : stream.events) {

@@ -5,15 +5,12 @@
 #include <map>
 #include <ostream>
 
-#include "src/campaign/json_util.hpp"
 #include "src/util/error.hpp"
+#include "src/util/json.hpp"
 
 namespace noceas::campaign {
 
 namespace {
-
-using detail::fmt;
-using detail::write_string;
 
 /// Linear-interpolation quantile over an ascending-sorted sample.
 double quantile(const std::vector<double>& sorted, double q) {
@@ -26,9 +23,10 @@ double quantile(const std::vector<double>& sorted, double q) {
 }
 
 void write_dist(std::ostream& os, const Dist& d) {
-  os << "{\"count\":" << d.count << ",\"mean\":" << fmt(d.mean) << ",\"min\":" << fmt(d.min)
-     << ",\"p10\":" << fmt(d.p10) << ",\"p50\":" << fmt(d.p50) << ",\"p90\":" << fmt(d.p90)
-     << ",\"max\":" << fmt(d.max) << '}';
+  os << "{\"count\":" << d.count << ",\"mean\":" << json::number(d.mean)
+     << ",\"min\":" << json::number(d.min) << ",\"p10\":" << json::number(d.p10)
+     << ",\"p50\":" << json::number(d.p50) << ",\"p90\":" << json::number(d.p90)
+     << ",\"max\":" << json::number(d.max) << '}';
 }
 
 void write_reasons(std::ostream& os, const ReasonMix& mix) {
@@ -183,23 +181,25 @@ void write_aggregate_json(std::ostream& os, const Aggregate& aggregate) {
     const SchedulerAggregate& s = aggregate.schedulers[i];
     if (i > 0) os << ',';
     os << "\n{\"scheduler\":";
-    write_string(os, s.scheduler);
+    json::write_string(os, s.scheduler);
     os << ",\"runs\":" << s.runs << ",\"failed\":" << s.failed << ",\"energy\":";
     write_dist(os, s.energy);
     os << ",\"makespan\":";
     write_dist(os, s.makespan);
-    os << ",\"runs_with_misses\":" << s.runs_with_misses << ",\"miss_rate\":" << fmt(s.miss_rate)
-       << ",\"total_misses\":" << s.total_misses << ",\"total_tardiness\":" << s.total_tardiness
-       << ",\"mean_hops\":" << fmt(s.mean_hops) << ",\"reasons\":";
+    os << ",\"runs_with_misses\":" << s.runs_with_misses
+       << ",\"miss_rate\":" << json::number(s.miss_rate) << ",\"total_misses\":" << s.total_misses
+       << ",\"total_tardiness\":" << s.total_tardiness
+       << ",\"mean_hops\":" << json::number(s.mean_hops) << ",\"reasons\":";
     write_reasons(os, s.reasons);
     os << ",\"outliers\":[";
     for (std::size_t k = 0; k < s.outliers.size(); ++k) {
       const OutlierRun& o = s.outliers[k];
       if (k > 0) os << ',';
       os << "{\"run\":";
-      write_string(os, o.run_id);
-      os << ",\"unit\":" << o.unit_index << ",\"deviation\":" << fmt(o.deviation)
-         << ",\"makespan\":" << o.makespan << ",\"energy\":" << fmt(o.energy) << ",\"reasons\":";
+      json::write_string(os, o.run_id);
+      os << ",\"unit\":" << o.unit_index << ",\"deviation\":" << json::number(o.deviation)
+         << ",\"makespan\":" << o.makespan << ",\"energy\":" << json::number(o.energy)
+         << ",\"reasons\":";
       write_reasons(os, o.reasons);
       os << '}';
     }
@@ -208,7 +208,7 @@ void write_aggregate_json(std::ostream& os, const Aggregate& aggregate) {
   os << "\n],\"win_matrix\":{\"schedulers\":[";
   for (std::size_t i = 0; i < aggregate.wins.schedulers.size(); ++i) {
     if (i > 0) os << ',';
-    write_string(os, aggregate.wins.schedulers[i]);
+    json::write_string(os, aggregate.wins.schedulers[i]);
   }
   os << "],\"energy\":";
   write_win_rows(os, aggregate.wins.energy);

@@ -19,7 +19,6 @@
 #include "src/baseline/map_then_schedule.hpp"
 #include "src/campaign/aggregate.hpp"
 #include "src/campaign/dashboard.hpp"
-#include "src/campaign/json_util.hpp"
 #include "src/campaign/shard.hpp"
 #include "src/core/eas.hpp"
 #include "src/core/validator.hpp"
@@ -28,14 +27,12 @@
 #include "src/obs/telemetry.hpp"
 #include "src/obs/trace.hpp"
 #include "src/util/error.hpp"
+#include "src/util/json.hpp"
 #include "src/util/thread_pool.hpp"
 
 namespace noceas::campaign {
 
 namespace {
-
-using detail::fmt;
-using detail::write_string;
 
 const char* const kKnownSchedulers[] = {"eas", "eas-base", "edf", "dls", "greedy", "map"};
 
@@ -334,7 +331,7 @@ std::string decisions_path(const RunUnit& u) { return "runs/" + u.id + ".decisio
 
 void write_app_spec_json(std::ostream& os, const AppSpec& app) {
   os << "{\"name\":";
-  write_string(os, app.name());
+  json::write_string(os, app.name());
   os << ",\"kind\":\""
      << (app.kind == AppSpec::Kind::Tgff    ? "tgff"
          : app.kind == AppSpec::Kind::Msb ? "msb"
@@ -344,44 +341,45 @@ void write_app_spec_json(std::ostream& os, const AppSpec& app) {
     os << ",\"category\":" << app.category << ",\"index\":" << app.index;
   } else if (app.kind == AppSpec::Kind::Msb) {
     os << ",\"app\":";
-    write_string(os, app.msb_app);
+    json::write_string(os, app.msb_app);
     os << ",\"clip\":";
-    write_string(os, app.msb_clip);
+    json::write_string(os, app.msb_clip);
   }
   os << '}';
 }
 
 void write_outcome_json(std::ostream& os, const RunOutcome& r, const RunUnit* unit) {
   os << "{\"id\":";
-  write_string(os, r.id);
+  json::write_string(os, r.id);
   os << ",\"app\":";
-  write_string(os, r.app);
+  json::write_string(os, r.app);
   os << ",\"seed\":" << r.seed << ",\"scheduler\":";
-  write_string(os, r.scheduler);
+  json::write_string(os, r.scheduler);
   os << ",\"ok\":" << (r.ok ? "true" : "false");
   if (!r.ok) {
     os << ",\"error\":";
-    write_string(os, r.error);
+    json::write_string(os, r.error);
     os << '}';
     return;
   }
   os << ",\"num_tasks\":" << r.num_tasks << ",\"num_edges\":" << r.num_edges
-     << ",\"energy\":" << fmt(r.energy_total) << ",\"energy_comp\":" << fmt(r.energy_comp)
-     << ",\"energy_comm\":" << fmt(r.energy_comm) << ",\"makespan\":" << r.makespan
+     << ",\"energy\":" << json::number(r.energy_total)
+     << ",\"energy_comp\":" << json::number(r.energy_comp)
+     << ",\"energy_comm\":" << json::number(r.energy_comm) << ",\"makespan\":" << r.makespan
      << ",\"miss_count\":" << r.miss_count << ",\"tardiness\":" << r.tardiness
-     << ",\"avg_hops\":" << fmt(r.avg_hops)
+     << ",\"avg_hops\":" << json::number(r.avg_hops)
      << ",\"deadlines_met\":" << (r.deadlines_met ? "true" : "false") << ",\"reasons\":";
   write_reason_mix(os, r.reasons);
   os << ",\"probes_issued\":" << r.probes_issued
      << ",\"probe_cache_hits\":" << r.probe_cache_hits
-     << ",\"probe_hit_rate\":" << fmt(r.probe_hit_rate);
+     << ",\"probe_hit_rate\":" << json::number(r.probe_hit_rate);
   if (unit != nullptr) {
     os << ",\"artifacts\":{\"metrics\":";
-    write_string(os, metrics_path(*unit));
+    json::write_string(os, metrics_path(*unit));
     os << ",\"analysis\":";
-    write_string(os, analysis_path(*unit));
+    json::write_string(os, analysis_path(*unit));
     os << ",\"decisions\":";
-    write_string(os, decisions_path(*unit));
+    json::write_string(os, decisions_path(*unit));
     os << '}';
   }
   os << '}';
@@ -631,7 +629,7 @@ void write_manifest_json(std::ostream& os, const CampaignResult& result) {
   os << "],\"schedulers\":[";
   for (std::size_t i = 0; i < spec.schedulers.size(); ++i) {
     if (i > 0) os << ',';
-    write_string(os, spec.schedulers[i]);
+    json::write_string(os, spec.schedulers[i]);
   }
   os << "],\"artifacts\":" << (spec.artifacts ? "true" : "false") << "},\"runs\":[";
   const bool with_artifacts = spec.artifacts && !spec.out_dir.empty();
@@ -656,9 +654,9 @@ void write_resources_json(std::ostream& os, const CampaignResult& result) {
     const ResourceSample& r = result.resources[i];
     if (k > 0) os << ',';
     os << "\n{\"id\":";
-    write_string(os, result.outcomes[i].id);
-    os << ",\"wall_seconds\":" << fmt(r.wall_seconds)
-       << ",\"cpu_seconds\":" << fmt(r.cpu_seconds) << ",\"peak_rss_kb\":" << r.peak_rss_kb
+    json::write_string(os, result.outcomes[i].id);
+    os << ",\"wall_seconds\":" << json::number(r.wall_seconds)
+       << ",\"cpu_seconds\":" << json::number(r.cpu_seconds) << ",\"peak_rss_kb\":" << r.peak_rss_kb
        << ",\"rss_kb\":" << r.rss_kb << '}';
   }
   os << "\n]}\n";

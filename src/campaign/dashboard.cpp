@@ -6,7 +6,6 @@
 #include <sstream>
 #include <vector>
 
-#include "src/campaign/json_util.hpp"
 #include "src/viz/svg_common.hpp"
 
 namespace noceas::campaign {

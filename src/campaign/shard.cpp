@@ -11,7 +11,6 @@
 
 #include "src/campaign/aggregate.hpp"
 #include "src/campaign/dashboard.hpp"
-#include "src/campaign/json_util.hpp"
 #include "src/campaign/manifest_io.hpp"
 #include "src/obs/profile_io.hpp"
 #include "src/obs/telemetry.hpp"
@@ -20,9 +19,6 @@
 namespace noceas::campaign {
 
 namespace {
-
-using detail::fmt;
-using detail::write_string;
 
 void write_file(const std::filesystem::path& path, const std::string& content) {
   std::ofstream os(path);
@@ -50,7 +46,7 @@ void write_spec_echo(std::ostream& os, const CampaignSpec& spec) {
   os << "],\"schedulers\":[";
   for (std::size_t i = 0; i < spec.schedulers.size(); ++i) {
     if (i > 0) os << ',';
-    write_string(os, spec.schedulers[i]);
+    json::write_string(os, spec.schedulers[i]);
   }
   os << "],\"artifacts\":" << (spec.artifacts ? "true" : "false") << '}';
 }
@@ -114,12 +110,12 @@ std::string spec_fingerprint(const CampaignSpec& spec) {
   for (const AppSpec& app : spec.apps) {
     if (app.kind != AppSpec::Kind::Custom) continue;
     const TgffParams& c = app.custom;
-    os << "|custom:" << static_cast<int>(c.shape) << ',' << c.num_tasks << ',' << c.num_edges
-       << ',' << fmt(c.avg_layer_width) << ',' << c.max_in_degree << ',' << fmt(c.base_work_min)
-       << ',' << fmt(c.base_work_max) << ',' << c.volume_min << ',' << c.volume_max << ','
-       << fmt(c.control_edge_fraction) << ',' << fmt(c.deadline_tightness_min) << ','
-       << fmt(c.deadline_tightness_max) << ',' << fmt(c.interior_deadline_fraction) << ','
-       << fmt(c.table_jitter);
+    os << "|custom:" << static_cast<int>(c.shape) << ',' << c.num_tasks << ',' << c.num_edges << ','
+       << json::number(c.avg_layer_width) << ',' << c.max_in_degree << ','
+       << json::number(c.base_work_min) << ',' << json::number(c.base_work_max) << ','
+       << c.volume_min << ',' << c.volume_max << ',' << json::number(c.control_edge_fraction) << ','
+       << json::number(c.deadline_tightness_min) << ',' << json::number(c.deadline_tightness_max)
+       << ',' << json::number(c.interior_deadline_fraction) << ',' << json::number(c.table_jitter);
   }
   os << "|profile:" << (spec.profile ? 1 : 0);
   return detail::fnv1a_hex(os.str());
@@ -447,17 +443,19 @@ MergeReport merge_shards(const MergeOptions& options) {
       if (!first_entry) os << ',';
       first_entry = false;
       os << "\n{\"shard\":" << index << ",\"dir\":";
-      write_string(os, shard->dir);
+      json::write_string(os, shard->dir);
       os << ",\"threads\":" << doc.at("threads").i64() << ",\"runs\":" << runs
-         << ",\"wall_seconds\":" << fmt(wall) << ",\"cpu_seconds\":" << fmt(cpu)
+         << ",\"wall_seconds\":" << json::number(wall) << ",\"cpu_seconds\":" << json::number(cpu)
          << ",\"peak_rss_kb\":" << peak << '}';
       fleet_wall += wall;
       fleet_cpu += cpu;
       fleet_peak = std::max(fleet_peak, peak);
       fleet_runs += runs;
     }
-    os << "\n],\"fleet\":{\"runs\":" << fleet_runs << ",\"wall_seconds\":" << fmt(fleet_wall)
-       << ",\"cpu_seconds\":" << fmt(fleet_cpu) << ",\"peak_rss_kb\":" << fleet_peak << "}}\n";
+    os << "\n],\"fleet\":{\"runs\":" << fleet_runs
+       << ",\"wall_seconds\":" << json::number(fleet_wall)
+       << ",\"cpu_seconds\":" << json::number(fleet_cpu)
+       << ",\"peak_rss_kb\":" << fleet_peak << "}}\n";
     write_file(out / "resources.json", os.str());
   }
 

@@ -1,7 +1,6 @@
 #include "src/obs/diff.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <map>
 #include <ostream>
@@ -10,32 +9,12 @@
 
 #include "src/audit/xref.hpp"
 #include "src/util/error.hpp"
+#include "src/util/json.hpp"
 #include "src/util/table.hpp"
 
 namespace noceas::diff {
 
 namespace {
-
-// Same shortest-round-trip double formatting as every other artifact writer.
-std::string fmt(double v) {
-  if (!std::isfinite(v)) return "null";  // NaN/inf are not JSON
-  char buf[64];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  return ec == std::errc() ? std::string(buf, ptr) : std::string("0");
-}
-
-void write_string(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      default: os << c;
-    }
-  }
-  os << '"';
-}
 
 /// kNoDeadline round-trips as -1 (decision-log convention).
 std::int64_t budget_repr(Time t) { return t == kNoDeadline ? -1 : t; }
@@ -224,12 +203,12 @@ std::string finals_detail(const audit::FinalRecord& a, const audit::FinalRecord&
     }
   }
   if (!deq(a.computation_energy, b.computation_energy)) {
-    return "final computation energy " + fmt(a.computation_energy) + " vs " +
-           fmt(b.computation_energy);
+    return "final computation energy " + json::number(a.computation_energy) + " vs " +
+           json::number(b.computation_energy);
   }
   if (!deq(a.communication_energy, b.communication_energy)) {
-    return "final communication energy " + fmt(a.communication_energy) + " vs " +
-           fmt(b.communication_energy);
+    return "final communication energy " + json::number(a.communication_energy) + " vs " +
+           json::number(b.communication_energy);
   }
   if (a.miss_count != b.miss_count) {
     return "final miss count " + std::to_string(a.miss_count) + " vs " +
@@ -753,7 +732,7 @@ void write_event_json(std::ostream& os, const audit::DecisionEvent& e) {
          << ",\"pe\":" << e.place.pe << ",\"start\":" << e.place.start
          << ",\"finish\":" << e.place.finish << ",\"bd\":" << budget_repr(e.place.budget)
          << ",\"rule\":";
-      write_string(os, e.place.rule);
+      json::write_string(os, e.place.rule);
       os << '}';
       break;
     case Kind::RepairBegin:
@@ -764,7 +743,7 @@ void write_event_json(std::ostream& os, const audit::DecisionEvent& e) {
       break;
     case Kind::RepairMove:
       os << "{\"type\":\"repair_move\",\"seq\":" << e.seq << ",\"kind\":";
-      write_string(os, e.move.kind);
+      json::write_string(os, e.move.kind);
       os << ",\"task\":" << e.move.task
          << ",\"accepted\":" << (e.move.accepted ? "true" : "false") << '}';
       break;
@@ -776,9 +755,9 @@ void write_candidate_side(std::ostream& os, bool present, const audit::Candidate
     os << "null";
     return;
   }
-  os << "{\"f\":" << row.finish << ",\"e\":" << fmt(row.energy)
-     << ",\"feasible\":" << (row.feasible ? "true" : "false") << ",\"score\":" << fmt(row.score)
-     << '}';
+  os << "{\"f\":" << row.finish << ",\"e\":" << json::number(row.energy)
+     << ",\"feasible\":" << (row.feasible ? "true" : "false")
+     << ",\"score\":" << json::number(row.score) << '}';
 }
 
 void write_comm_side(std::ostream& os, bool present, const audit::CommRecord& c) {
@@ -803,7 +782,7 @@ void write_divergence_json(std::ostream& os, const StreamDivergence& s) {
   }
   os << "{\"found\":true,\"what\":\"" << to_string(s.what) << "\",\"seq\":" << s.seq
      << ",\"index\":" << s.index << ",\"detail\":";
-  write_string(os, s.detail);
+  json::write_string(os, s.detail);
   os << ",\"a\":";
   if (s.has_a)
     write_event_json(os, s.a);
@@ -872,12 +851,13 @@ void write_schedule_divergence_json(std::ostream& os, const ScheduleDivergence& 
 
 void write_summary_json(std::ostream& os, const RunSummary& s) {
   os << "{\"makespan\":" << s.makespan << ",\"misses\":" << s.misses
-     << ",\"tardiness\":" << s.tardiness << ",\"energy_total\":" << fmt(s.energy_total)
-     << ",\"energy_comp\":" << fmt(s.energy_comp) << ",\"energy_comm\":" << fmt(s.energy_comm)
-     << ",\"dep_wait\":" << s.dep_wait << ",\"link_wait\":" << s.link_wait
-     << ",\"pe_wait\":" << s.pe_wait << ",\"cp_length\":" << s.cp_length
-     << ",\"reasons\":{\"head\":" << s.reasons.head << ",\"dep\":" << s.reasons.dep
-     << ",\"pe_busy\":" << s.reasons.pe << ",\"link_busy\":" << s.reasons.link << "}}";
+     << ",\"tardiness\":" << s.tardiness << ",\"energy_total\":" << json::number(s.energy_total)
+     << ",\"energy_comp\":" << json::number(s.energy_comp)
+     << ",\"energy_comm\":" << json::number(s.energy_comm) << ",\"dep_wait\":" << s.dep_wait
+     << ",\"link_wait\":" << s.link_wait << ",\"pe_wait\":" << s.pe_wait
+     << ",\"cp_length\":" << s.cp_length << ",\"reasons\":{\"head\":" << s.reasons.head
+     << ",\"dep\":" << s.reasons.dep << ",\"pe_busy\":" << s.reasons.pe
+     << ",\"link_busy\":" << s.reasons.link << "}}";
 }
 
 template <typename T>
@@ -893,16 +873,16 @@ void write_id_array(std::ostream& os, const std::vector<T>& xs) {
 void write_unit_json(std::ostream& os, const UnitDelta& u) {
   const campaign::RunOutcome& meta = u.status == UnitDelta::Status::OnlyB ? u.b : u.a;
   os << "{\"id\":";
-  write_string(os, u.id);
+  json::write_string(os, u.id);
   os << ",\"app\":";
-  write_string(os, meta.app);
+  json::write_string(os, meta.app);
   os << ",\"seed\":" << meta.seed << ",\"scheduler\":";
-  write_string(os, meta.scheduler);
+  json::write_string(os, meta.scheduler);
   os << ",\"status\":\"" << to_string(u.status) << '"';
   if (u.status == UnitDelta::Status::Changed) {
-    os << ",\"d_energy\":" << fmt(u.d_energy) << ",\"d_makespan\":" << u.d_makespan
-       << ",\"d_misses\":" << u.d_misses << ",\"energy_a\":" << fmt(u.a.energy_total)
-       << ",\"energy_b\":" << fmt(u.b.energy_total) << ",\"makespan_a\":" << u.a.makespan
+    os << ",\"d_energy\":" << json::number(u.d_energy) << ",\"d_makespan\":" << u.d_makespan
+       << ",\"d_misses\":" << u.d_misses << ",\"energy_a\":" << json::number(u.a.energy_total)
+       << ",\"energy_b\":" << json::number(u.b.energy_total) << ",\"makespan_a\":" << u.a.makespan
        << ",\"makespan_b\":" << u.b.makespan << ",\"misses_a\":" << u.a.miss_count
        << ",\"misses_b\":" << u.b.miss_count;
   }
@@ -913,9 +893,9 @@ void write_unit_json(std::ostream& os, const UnitDelta& u) {
 
 void write_run_diff_json(std::ostream& os, const RunDiff& d) {
   os << "{\"schema\":\"noceas.diff.v1\",\"mode\":\"run\",\"a\":";
-  write_string(os, d.label_a);
+  json::write_string(os, d.label_a);
   os << ",\"b\":";
-  write_string(os, d.label_b);
+  json::write_string(os, d.label_b);
   os << ",\"identical\":" << (d.identical() ? "true" : "false") << ",\"divergence\":";
   if (d.has_streams)
     write_divergence_json(os, d.stream);
@@ -931,10 +911,11 @@ void write_run_diff_json(std::ostream& os, const RunDiff& d) {
     os << ",\"b\":";
     write_summary_json(os, d.summary_b);
     os << ",\"delta\":{\"makespan\":" << i.makespan << ",\"misses\":" << i.misses
-       << ",\"tardiness\":" << i.tardiness << ",\"energy_total\":" << fmt(i.energy_total)
-       << ",\"energy_comp\":" << fmt(i.energy_comp) << ",\"energy_comm\":" << fmt(i.energy_comm)
-       << ",\"dep_wait\":" << i.dep_wait << ",\"link_wait\":" << i.link_wait
-       << ",\"pe_wait\":" << i.pe_wait << ",\"cp_length\":" << i.cp_length
+       << ",\"tardiness\":" << i.tardiness << ",\"energy_total\":" << json::number(i.energy_total)
+       << ",\"energy_comp\":" << json::number(i.energy_comp)
+       << ",\"energy_comm\":" << json::number(i.energy_comm) << ",\"dep_wait\":" << i.dep_wait
+       << ",\"link_wait\":" << i.link_wait << ",\"pe_wait\":" << i.pe_wait
+       << ",\"cp_length\":" << i.cp_length
        << ",\"cp_identical\":" << (i.cp_identical ? "true" : "false")
        << ",\"cp_divergence\":" << i.cp_divergence << ",\"moved_tasks\":";
     write_id_array(os, i.moved_tasks);
@@ -959,14 +940,14 @@ void write_campaign_diff_json(std::ostream& os, const CampaignDiff& d) {
     const SchedulerDelta& s = d.schedulers[i];
     if (i > 0) os << ',';
     os << "\n{\"scheduler\":";
-    write_string(os, s.scheduler);
+    json::write_string(os, s.scheduler);
     os << ",\"runs_a\":" << s.runs_a << ",\"runs_b\":" << s.runs_b
-       << ",\"energy_mean_a\":" << fmt(s.mean_energy_a)
-       << ",\"energy_mean_b\":" << fmt(s.mean_energy_b)
-       << ",\"makespan_mean_a\":" << fmt(s.mean_makespan_a)
-       << ",\"makespan_mean_b\":" << fmt(s.mean_makespan_b)
-       << ",\"miss_rate_a\":" << fmt(s.miss_rate_a) << ",\"miss_rate_b\":" << fmt(s.miss_rate_b)
-       << '}';
+       << ",\"energy_mean_a\":" << json::number(s.mean_energy_a)
+       << ",\"energy_mean_b\":" << json::number(s.mean_energy_b)
+       << ",\"makespan_mean_a\":" << json::number(s.mean_makespan_a)
+       << ",\"makespan_mean_b\":" << json::number(s.mean_makespan_b)
+       << ",\"miss_rate_a\":" << json::number(s.miss_rate_a)
+       << ",\"miss_rate_b\":" << json::number(s.miss_rate_b) << '}';
   }
   os << "\n],\"regressed\":[";
   for (std::size_t i = 0; i < d.regressed.size(); ++i) {
@@ -988,7 +969,7 @@ void write_campaign_diff_json(std::ostream& os, const CampaignDiff& d) {
       if (u.status != status) continue;
       if (!first) os << ',';
       first = false;
-      write_string(os, u.id);
+      json::write_string(os, u.id);
     }
     os << ']';
   };
@@ -1002,9 +983,9 @@ void write_campaign_diff_json(std::ostream& os, const CampaignDiff& d) {
     const WinFlip& f = d.flips[i];
     if (i > 0) os << ',';
     os << "{\"metric\":\"" << f.metric << "\",\"row\":";
-    write_string(os, f.row);
+    json::write_string(os, f.row);
     os << ",\"col\":";
-    write_string(os, f.col);
+    json::write_string(os, f.col);
     os << ",\"a\":{\"wins\":" << f.a.wins << ",\"losses\":" << f.a.losses
        << ",\"ties\":" << f.a.ties << "},\"b\":{\"wins\":" << f.b.wins
        << ",\"losses\":" << f.b.losses << ",\"ties\":" << f.b.ties << "}}";

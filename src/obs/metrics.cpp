@@ -1,34 +1,15 @@
 #include "src/obs/metrics.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <limits>
 #include <ostream>
 
 #include "src/util/error.hpp"
+#include "src/util/json.hpp"
 
 namespace noceas::obs {
 
 namespace {
-
-std::string format_double(double v) {
-  char buf[64];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  return ec == std::errc() ? std::string(buf, ptr) : std::string("0");
-}
-
-void write_json_string(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      default: os << c;
-    }
-  }
-  os << '"';
-}
 
 /// Relaxed fetch-add for atomic<double> (no hardware fetch_add pre-C++20
 /// everywhere; CAS loop is fine off the hot path).
@@ -188,9 +169,9 @@ void Registry::write_json(std::ostream& os) const {
   for (const auto& [name, c] : counters_) {
     if (!first) os << ',';
     first = false;
-    write_json_string(os, name);
+    json::write_string(os, name);
     os << ":{\"unit\":";
-    write_json_string(os, c.unit);
+    json::write_string(os, c.unit);
     os << ",\"value\":" << c.metric->value() << '}';
   }
   os << "},\"gauges\":{";
@@ -198,10 +179,10 @@ void Registry::write_json(std::ostream& os) const {
   for (const auto& [name, g] : gauges_) {
     if (!first) os << ',';
     first = false;
-    write_json_string(os, name);
+    json::write_string(os, name);
     os << ":{\"unit\":";
-    write_json_string(os, g.unit);
-    os << ",\"value\":" << format_double(g.metric->value()) << '}';
+    json::write_string(os, g.unit);
+    os << ",\"value\":" << json::number(g.metric->value()) << '}';
   }
   os << "},\"histograms\":{";
   first = true;
@@ -209,19 +190,19 @@ void Registry::write_json(std::ostream& os) const {
     if (!first) os << ',';
     first = false;
     const Histogram& hist = *h.metric;
-    write_json_string(os, name);
+    json::write_string(os, name);
     os << ":{\"unit\":";
-    write_json_string(os, h.unit);
+    json::write_string(os, h.unit);
     const double mean = hist.count() ? hist.sum() / static_cast<double>(hist.count()) : 0.0;
-    os << ",\"count\":" << hist.count() << ",\"sum\":" << format_double(hist.sum())
-       << ",\"mean\":" << format_double(mean) << ",\"min\":" << format_double(hist.min())
-       << ",\"max\":" << format_double(hist.max())
-       << ",\"p50\":" << format_double(hist.percentile(0.50))
-       << ",\"p95\":" << format_double(hist.percentile(0.95))
-       << ",\"p99\":" << format_double(hist.percentile(0.99)) << ",\"buckets\":[";
+    os << ",\"count\":" << hist.count() << ",\"sum\":" << json::number(hist.sum())
+       << ",\"mean\":" << json::number(mean) << ",\"min\":" << json::number(hist.min())
+       << ",\"max\":" << json::number(hist.max())
+       << ",\"p50\":" << json::number(hist.percentile(0.50))
+       << ",\"p95\":" << json::number(hist.percentile(0.95))
+       << ",\"p99\":" << json::number(hist.percentile(0.99)) << ",\"buckets\":[";
     for (std::size_t i = 0; i < hist.bounds().size(); ++i) {
       if (i > 0) os << ',';
-      os << "{\"le\":" << format_double(hist.bounds()[i]) << ",\"count\":" << hist.bucket_count(i)
+      os << "{\"le\":" << json::number(hist.bounds()[i]) << ",\"count\":" << hist.bucket_count(i)
          << '}';
     }
     if (!hist.bounds().empty()) os << ',';

@@ -3,13 +3,12 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <charconv>
-#include <cmath>
 #include <cstring>
 #include <limits>
 #include <ostream>
 
 #include "src/util/error.hpp"
+#include "src/util/json.hpp"
 
 namespace noceas::obs {
 
@@ -18,26 +17,6 @@ namespace {
 std::uint64_t next_profiler_id() {
   static std::atomic<std::uint64_t> counter{1};
   return counter.fetch_add(1, std::memory_order_relaxed);
-}
-
-/// Shortest round-trip decimal form (locale-independent, deterministic).
-std::string format_double(double v) {
-  char buf[64];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  return ec == std::errc() ? std::string(buf, ptr) : std::string("0");
-}
-
-void write_json_string(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      default: os << c;
-    }
-  }
-  os << '"';
 }
 
 /// log2 bucket of a duration: floor(log2(ns)), durations <= 1 ns in bucket 0.
@@ -256,9 +235,9 @@ void write_profile_json(std::ostream& os, const ProfileSnapshot& snapshot,
     const ProfileRecord& r = snapshot.records[i];
     if (i > 0) os << ',';
     os << "\n{\"path\":";
-    write_json_string(os, r.path);
+    json::write_string(os, r.path);
     os << ",\"name\":";
-    write_json_string(os, r.name);
+    json::write_string(os, r.name);
     os << ",\"depth\":" << r.depth << ",\"count\":" << r.count << '}';
   }
   os << "\n]";
@@ -270,12 +249,12 @@ void write_profile_json(std::ostream& os, const ProfileSnapshot& snapshot,
       const ProfileRecord& r = snapshot.records[i];
       if (i > 0) os << ',';
       os << "\n{\"path\":";
-      write_json_string(os, r.path);
+      json::write_string(os, r.path);
       os << ",\"total_ns\":" << r.total_ns << ",\"self_ns\":" << r.self_ns
          << ",\"min_ns\":" << r.min_ns << ",\"max_ns\":" << r.max_ns
-         << ",\"p50_ns\":" << format_double(r.percentile_ns(0.50))
-         << ",\"p95_ns\":" << format_double(r.percentile_ns(0.95))
-         << ",\"p99_ns\":" << format_double(r.percentile_ns(0.99)) << ",\"buckets\":[";
+         << ",\"p50_ns\":" << json::number(r.percentile_ns(0.50))
+         << ",\"p95_ns\":" << json::number(r.percentile_ns(0.95))
+         << ",\"p99_ns\":" << json::number(r.percentile_ns(0.99)) << ",\"buckets\":[";
       for (std::size_t b = 0; b < r.buckets.size(); ++b) {
         if (b > 0) os << ',';
         os << '[' << r.buckets[b].first << ',' << r.buckets[b].second << ']';

@@ -1,7 +1,6 @@
 #include "src/obs/telemetry.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <istream>
@@ -25,27 +24,6 @@ std::int64_t wall_now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-/// Shortest round-trip decimal form; NaN/inf degrade to null (not JSON).
-std::string fmt(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[64];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  return ec == std::errc() ? std::string(buf, ptr) : std::string("0");
-}
-
-void write_string(std::ostream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      default: os << c;
-    }
-  }
-  os << '"';
 }
 
 }  // namespace
@@ -106,10 +84,11 @@ void TelemetryHub::unit_start(std::size_t slot, const std::string& id,
   if (options_.progress != nullptr) {
     std::ostream& os = *options_.progress;
     os << "{\"ev\":\"start\",\"unit\":";
-    write_string(os, id);
+    json::write_string(os, id);
     os << ",\"scheduler\":";
-    write_string(os, scheduler);
-    os << ",\"t_ms\":" << fmt(now_ms_locked()) << ",\"inflight\":" << inflight_.size() << "}\n";
+    json::write_string(os, scheduler);
+    os << ",\"t_ms\":" << json::number(now_ms_locked())
+       << ",\"inflight\":" << inflight_.size() << "}\n";
     os.flush();
   }
   ticker_locked(id);
@@ -141,17 +120,18 @@ void TelemetryHub::unit_finish(std::size_t slot, bool ok, const std::string& err
   if (options_.progress != nullptr) {
     std::ostream& os = *options_.progress;
     os << "{\"ev\":\"" << (ok ? "finish" : "error") << "\",\"unit\":";
-    write_string(os, f.id);
+    json::write_string(os, f.id);
     os << ",\"scheduler\":";
-    write_string(os, f.scheduler);
-    os << ",\"t_ms\":" << fmt(now_ms_locked()) << ",\"wall_ms\":" << fmt(wall_ms)
+    json::write_string(os, f.scheduler);
+    os << ",\"t_ms\":" << json::number(now_ms_locked()) << ",\"wall_ms\":" << json::number(wall_ms)
        << ",\"ok\":" << (ok ? "true" : "false");
     if (!ok) {
       os << ",\"error\":";
-      write_string(os, error);
+      json::write_string(os, error);
     }
     os << ",\"done\":" << done_ << ",\"total\":" << options_.total_units
-       << ",\"eta_ms\":" << (ewma_seeded_ ? fmt(eta_ms_locked()) : std::string("null")) << "}\n";
+       << ",\"eta_ms\":" << (ewma_seeded_ ? json::number(eta_ms_locked()) : std::string("null"))
+       << "}\n";
     os.flush();
   }
   ticker_locked(f.id);
@@ -182,13 +162,13 @@ void TelemetryHub::sample_locked() {
 
   if (options_.timeseries != nullptr) {
     std::ostream& os = *options_.timeseries;
-    os << "{\"t_ms\":" << fmt(t_ms) << ",\"series\":{";
+    os << "{\"t_ms\":" << json::number(t_ms) << ",\"series\":{";
     bool first = true;
     for (const auto& [name, value] : series) {
       if (!first) os << ',';
       first = false;
-      write_string(os, name);
-      os << ':' << fmt(value);
+      json::write_string(os, name);
+      os << ':' << json::number(value);
     }
     os << "}}\n";
     os.flush();
@@ -225,12 +205,13 @@ void TelemetryHub::watchdog_locked() {
     if (options_.progress != nullptr) {
       std::ostream& os = *options_.progress;
       os << "{\"ev\":\"stall\",\"unit\":";
-      write_string(os, ev.unit);
-      os << ",\"t_ms\":" << fmt(now_ms_locked()) << ",\"open_ms\":" << fmt(ev.open_ms)
-         << ",\"deadline_ms\":" << fmt(ev.deadline_ms) << ",\"spans\":[";
+      json::write_string(os, ev.unit);
+      os << ",\"t_ms\":" << json::number(now_ms_locked())
+         << ",\"open_ms\":" << json::number(ev.open_ms)
+         << ",\"deadline_ms\":" << json::number(ev.deadline_ms) << ",\"spans\":[";
       for (std::size_t i = 0; i < ev.spans.size(); ++i) {
         if (i > 0) os << ',';
-        write_string(os, ev.spans[i]);
+        json::write_string(os, ev.spans[i]);
       }
       os << "]}\n";
       os.flush();
@@ -253,7 +234,7 @@ void TelemetryHub::ticker_locked(const std::string& last_unit) {
   std::ostringstream line;
   line << '[' << done_ << '/' << options_.total_units << "] inflight=" << inflight_.size();
   if (ewma_seeded_) {
-    line << " eta=" << fmt(eta_ms_locked() / 1000.0) << 's';
+    line << " eta=" << json::number(eta_ms_locked() / 1000.0) << 's';
   }
   if (!last_unit.empty()) line << ' ' << last_unit;
   std::string text = line.str();
@@ -393,16 +374,16 @@ StreamSummary summarize_stream(std::istream& in) {
 
 void write_summary_json(std::ostream& os, const StreamSummary& summary) {
   os << "{\"schema\":\"noceas.stream.summary.v1\",\"source_schema\":";
-  write_string(os, summary.source_schema);
+  json::write_string(os, summary.source_schema);
   if (summary.source_schema == "noceas.timeseries.v1") {
     os << ",\"samples\":" << summary.samples << ",\"series\":{";
     bool first = true;
     for (const auto& [name, s] : summary.series) {
       if (!first) os << ',';
       first = false;
-      write_string(os, name);
-      os << ":{\"count\":" << s.count << ",\"min\":" << fmt(s.min) << ",\"max\":" << fmt(s.max)
-         << ",\"last\":" << fmt(s.last) << '}';
+      json::write_string(os, name);
+      os << ":{\"count\":" << s.count << ",\"min\":" << json::number(s.min)
+         << ",\"max\":" << json::number(s.max) << ",\"last\":" << json::number(s.last) << '}';
     }
     os << '}';
   } else {
@@ -416,7 +397,7 @@ void write_summary_json(std::ostream& os, const StreamSummary& summary) {
     for (const auto& [id, u] : summary.units) {
       if (!first) os << ',';
       first = false;
-      write_string(os, id);
+      json::write_string(os, id);
       os << ":{\"starts\":" << u.starts << ",\"finishes\":" << u.finishes << ",\"ok\":" << u.ok
          << '}';
     }
@@ -430,8 +411,8 @@ void print_summary(std::ostream& os, const StreamSummary& summary) {
     os << "timeseries: " << summary.samples << " samples, " << summary.series.size()
        << " series\n";
     for (const auto& [name, s] : summary.series) {
-      os << "  " << name << ": count=" << s.count << " min=" << fmt(s.min) << " max=" << fmt(s.max)
-         << " last=" << fmt(s.last) << '\n';
+      os << "  " << name << ": count=" << s.count << " min=" << json::number(s.min) << " max="
+         << json::number(s.max) << " last=" << json::number(s.last) << '\n';
     }
   } else {
     os << "progress: " << summary.finishes << '/' << summary.total << " finished ("
@@ -475,7 +456,8 @@ void write_timeline_html(std::ostream& os, const std::vector<TimelinePoint>& poi
       os << "<polyline fill=\"none\" stroke=\"" << color << "\" stroke-width=\"1.5\" points=\"";
       for (const TimelinePoint& p : points) {
         const double frac = value_max > 0.0 ? value_of(p) / value_max : 0.0;
-        os << fmt(x_of(p.t_ms)) << ',' << fmt(kStripH - frac * (kStripH - 22)) << ' ';
+        os << json::number(x_of(p.t_ms)) << ',' << json::number(kStripH - frac * (kStripH - 22))
+           << ' ';
       }
       os << "\"/>\n";
     }
@@ -488,7 +470,7 @@ void write_timeline_html(std::ostream& os, const std::vector<TimelinePoint>& poi
         "svg{background:#fff;border:1px solid #ddd}.t{font-size:12px;fill:#444}"
         ".ax{stroke:#ccc}</style></head><body>\n";
   os << "<h1>Fleet timeline</h1>\n<p>" << points.size() << " samples over "
-     << fmt(t_max / 1000.0) << " s; " << total_units
+     << json::number(t_max / 1000.0) << " s; " << total_units
      << " units. Wall-clock data &mdash; outside the deterministic contract.</p>\n";
   os << "<svg width=\"" << kW << "\" height=\"" << (2 * (kStripH + kPad)) << "\">\n";
   strip("units in flight", "#2266cc", 8,
@@ -607,7 +589,7 @@ void write_fleet_timeline_html(std::ostream& os, const std::vector<FleetLane>& l
         "svg{background:#fff;border:1px solid #ddd}.t{font-size:12px;fill:#444}"
         ".s{font-size:10px;fill:#a00}.ax{stroke:#ccc}.lag{fill:#fff3e6}</style></head><body>\n";
   os << "<h1>Fleet timeline</h1>\n<p>" << lanes.size() << " shard lanes over "
-     << fmt(t_max / 1000.0) << " s; " << stall_total << " stall event"
+     << json::number(t_max / 1000.0) << " s; " << stall_total << " stall event"
      << (stall_total == 1 ? "" : "s");
   if (!stragglers.empty()) {
     os << "; stragglers:";
@@ -636,14 +618,15 @@ void write_fleet_timeline_html(std::ostream& os, const std::vector<FleetLane>& l
       os << "<polyline fill=\"none\" stroke=\"#2266cc\" stroke-width=\"1.5\" points=\"";
       for (const TimelinePoint& p : lane.points) {
         const double frac = static_cast<double>(p.inflight) / inflight_max;
-        os << fmt(x_of(p.t_ms)) << ',' << fmt((kLaneH - 12) - frac * (kLaneH - 28)) << ' ';
+        os << json::number(x_of(p.t_ms)) << ','
+           << json::number((kLaneH - 12) - frac * (kLaneH - 28)) << ' ';
       }
       os << "\"/>\n";
     }
     for (const FleetStall& s : lane.stalls) {
-      os << "<circle cx=\"" << fmt(x_of(s.t_ms)) << "\" cy=\"" << (kLaneH - 12)
-         << "\" r=\"4\" fill=\"#cc2222\"/>\n<text x=\"" << fmt(x_of(s.t_ms) + 6) << "\" y=\""
-         << (kLaneH - 16) << "\" class=\"s\">stall: ";
+      os << "<circle cx=\"" << json::number(x_of(s.t_ms)) << "\" cy=\"" << (kLaneH - 12)
+         << "\" r=\"4\" fill=\"#cc2222\"/>\n<text x=\"" << json::number(x_of(s.t_ms) + 6)
+         << "\" y=\"" << (kLaneH - 16) << "\" class=\"s\">stall: ";
       write_html_text(os, s.unit);
       os << "</text>\n";
     }

@@ -1,12 +1,11 @@
 #include "src/obs/trace.hpp"
 
 #include <algorithm>
-
-#include "src/obs/profile.hpp"
-#include <charconv>
-#include <cmath>
 #include <ostream>
 #include <string>
+
+#include "src/obs/profile.hpp"
+#include "src/util/json.hpp"
 
 namespace noceas::obs {
 
@@ -17,52 +16,16 @@ std::uint64_t next_tracer_id() {
   return counter.fetch_add(1, std::memory_order_relaxed);
 }
 
-/// Shortest round-trip decimal form (locale-independent, deterministic).
-std::string format_double(double v) {
-  char buf[64];
-  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
-  return ec == std::errc() ? std::string(buf, ptr) : std::string("0");
-}
-
-void write_json_string(std::ostream& os, const char* s) {
-  os << '"';
-  for (; s != nullptr && *s != '\0'; ++s) {
-    const char c = *s;
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\r': os << "\\r"; break;
-      case '\t': os << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          constexpr const char* hex = "0123456789abcdef";
-          os << "\\u00" << hex[(c >> 4) & 0xf] << hex[c & 0xf];
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
 void write_args(std::ostream& os, const TraceEvent& e) {
   os << "\"args\":{";
   for (int a = 0; a < e.num_args; ++a) {
     if (a > 0) os << ',';
-    write_json_string(os, e.args[a].key);
+    json::write_string(os, e.args[a].key ? e.args[a].key : "");
     os << ':';
     switch (e.args[a].kind) {
       case Arg::Kind::Int: os << e.args[a].i; break;
-      case Arg::Kind::Dbl:
-        // JSON has no inf/nan literals; non-finite values degrade to null.
-        if (std::isfinite(e.args[a].d)) {
-          os << format_double(e.args[a].d);
-        } else {
-          os << "null";
-        }
-        break;
-      case Arg::Kind::Str: write_json_string(os, e.args[a].s); break;
+      case Arg::Kind::Dbl: os << json::number(e.args[a].d); break;
+      case Arg::Kind::Str: json::write_string(os, e.args[a].s ? e.args[a].s : ""); break;
       case Arg::Kind::None: os << "null"; break;
     }
   }
@@ -228,11 +191,11 @@ void Tracer::write_chrome_json(std::ostream& os) const {
     if (!first) os << ',';
     first = false;
     os << "{\"name\":";
-    write_json_string(os, e.name);
+    json::write_string(os, e.name ? e.name : "");
     os << ",\"ph\":\"" << e.phase << "\",\"pid\":1,\"tid\":" << (e.lane + 1)
-       << ",\"ts\":" << format_double(static_cast<double>(e.ts_ns) / 1000.0);
+       << ",\"ts\":" << json::number(static_cast<double>(e.ts_ns) / 1000.0);
     if (e.phase == 'X') {
-      os << ",\"dur\":" << format_double(static_cast<double>(e.dur_ns) / 1000.0);
+      os << ",\"dur\":" << json::number(static_cast<double>(e.dur_ns) / 1000.0);
     }
     if (e.phase == 'i') os << ",\"s\":\"t\"";
     os << ",";

@@ -1,5 +1,6 @@
 #include "src/util/json.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 #include <limits>
@@ -13,7 +14,7 @@ class Parser {
   Parser(const std::string& text, const std::string& what) : s_(text), what_(what) {}
 
   Value parse() {
-    Value v = value();
+    Value v = value(0);
     skip_ws();
     NOCEAS_REQUIRE(i_ == s_.size(), what_ << ": trailing characters");
     return v;
@@ -40,10 +41,11 @@ class Parser {
     return false;
   }
 
-  Value value() {
+  /// `depth` counts the arrays/objects enclosing this value.
+  Value value(int depth) {
     switch (peek()) {
-      case '{': return object();
-      case '[': return array();
+      case '{': return object(depth + 1);
+      case '[': return array(depth + 1);
       case '"': return string_value();
       case 't':
       case 'f': return boolean();
@@ -52,7 +54,8 @@ class Parser {
     }
   }
 
-  Value object() {
+  Value object(int depth) {
+    NOCEAS_REQUIRE(depth <= kMaxDepth, what_ << ": nesting too deep");
     expect('{');
     Value v;
     v.kind = Value::Kind::Obj;
@@ -60,19 +63,20 @@ class Parser {
     do {
       Value key = string_value();
       expect(':');
-      v.obj[key.str] = value();
+      v.obj[key.str] = value(depth);
     } while (consume(','));
     expect('}');
     return v;
   }
 
-  Value array() {
+  Value array(int depth) {
+    NOCEAS_REQUIRE(depth <= kMaxDepth, what_ << ": nesting too deep");
     expect('[');
     Value v;
     v.kind = Value::Kind::Arr;
     if (consume(']')) return v;
     do {
-      v.arr.push_back(value());
+      v.arr.push_back(value(depth));
     } while (consume(','));
     expect(']');
     return v;
@@ -82,24 +86,72 @@ class Parser {
     expect('"');
     Value v;
     v.kind = Value::Kind::Str;
-    while (i_ < s_.size() && s_[i_] != '"') {
-      if (s_[i_] == '\\') {
-        ++i_;
-        NOCEAS_REQUIRE(i_ < s_.size(), what_ << ": bad escape");
-        switch (s_[i_]) {
-          case '"': v.str += '"'; break;
-          case '\\': v.str += '\\'; break;
-          case 'n': v.str += '\n'; break;
-          default: NOCEAS_REQUIRE(false, what_ << ": unknown escape");
-        }
-        ++i_;
-      } else {
-        v.str += s_[i_++];
-      }
+    for (;;) {
+      // Raw bytes up to the next quote or backslash go in as one run; raw
+      // control bytes are kept, since earlier writers emitted them unescaped.
+      const std::size_t run = i_;
+      while (i_ < s_.size() && s_[i_] != '"' && s_[i_] != '\\') ++i_;
+      v.str.append(s_, run, i_ - run);
+      NOCEAS_REQUIRE(i_ < s_.size(), what_ << ": unterminated string");
+      if (s_[i_++] == '"') return v;
+      escape(v.str);
     }
-    NOCEAS_REQUIRE(i_ < s_.size(), what_ << ": unterminated string");
-    ++i_;
-    return v;
+  }
+
+  /// Decodes the escape after a backslash onto `out`.
+  void escape(std::string& out) {
+    NOCEAS_REQUIRE(i_ < s_.size(), what_ << ": bad escape");
+    switch (const char c = s_[i_++]) {
+      case '"':
+      case '\\':
+      case '/': out += c; return;
+      case 'b': out += '\b'; return;
+      case 'f': out += '\f'; return;
+      case 'n': out += '\n'; return;
+      case 'r': out += '\r'; return;
+      case 't': out += '\t'; return;
+      case 'u': break;
+      default: NOCEAS_REQUIRE(false, what_ << ": unknown escape");
+    }
+    std::uint32_t cp = hex4();
+    NOCEAS_REQUIRE(cp < 0xDC00 || cp > 0xDFFF, what_ << ": lone surrogate");
+    if (cp >= 0xD800 && cp <= 0xDBFF) {
+      NOCEAS_REQUIRE(s_.compare(i_, 2, "\\u") == 0, what_ << ": lone surrogate");
+      i_ += 2;
+      const std::uint32_t low = hex4();
+      NOCEAS_REQUIRE(low >= 0xDC00 && low <= 0xDFFF, what_ << ": lone surrogate");
+      cp = 0x10000 + ((cp - 0xD800) << 10) + (low - 0xDC00);
+    }
+    append_utf8(out, cp);
+  }
+
+  /// The four hex digits of a \uXXXX escape.
+  std::uint32_t hex4() {
+    std::uint32_t cp = 0;
+    const char* first = s_.data() + i_;
+    const char* last = first + std::min<std::size_t>(4, s_.size() - i_);
+    const auto [ptr, ec] = std::from_chars(first, last, cp, 16);
+    NOCEAS_REQUIRE(ec == std::errc() && ptr == first + 4, what_ << ": bad \\u escape");
+    i_ += 4;
+    return cp;
+  }
+
+  static void append_utf8(std::string& out, std::uint32_t cp) {
+    if (cp < 0x80) {
+      out += static_cast<char>(cp);
+    } else if (cp < 0x800) {
+      out += static_cast<char>(0xC0 | (cp >> 6));
+      out += static_cast<char>(0x80 | (cp & 0x3F));
+    } else if (cp < 0x10000) {
+      out += static_cast<char>(0xE0 | (cp >> 12));
+      out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
+      out += static_cast<char>(0x80 | (cp & 0x3F));
+    } else {
+      out += static_cast<char>(0xF0 | (cp >> 18));
+      out += static_cast<char>(0x80 | ((cp >> 12) & 0x3F));
+      out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
+      out += static_cast<char>(0x80 | (cp & 0x3F));
+    }
   }
 
   Value boolean() {

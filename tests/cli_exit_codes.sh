@@ -55,6 +55,18 @@ expect 1 "unreadable ctg" \
   "$cli" schedule --ctg "$tmp/missing.txt" --platform "$tmp/p.txt"
 expect 1 "campaign with unknown scheduler" \
   "$cli" campaign --out "$tmp/camp" --categories 1 --schedulers frobnicate
+# A manifest of 10^6 '[' is refused with a clean error, not a stack overflow.
+mkdir -p "$tmp/deep"
+head -c 1000000 /dev/zero | tr '\0' '[' > "$tmp/deep/manifest.json"
+cp "$tmp/deep/manifest.json" "$tmp/deep/aggregate.json"
+expect 1 "campaign diff of a deeply nested manifest" \
+  "$cli" diff --campaign-a "$tmp/deep" --campaign-b "$tmp/deep"
+deep_err="$("$cli" diff --campaign-a "$tmp/deep" --campaign-b "$tmp/deep" 2>&1 >/dev/null)"
+case "$deep_err" in
+  "error:"*"nesting too deep"*) echo "ok: deep nesting reports an error: line" ;;
+  *) echo "FAIL: deep nesting error line missing (got: $deep_err)" >&2
+     failures=$((failures + 1)) ;;
+esac
 
 # --- exit 3: validation / replay mismatch ------------------------------
 # Corrupt the exported schedule: bump task 0's finish time by one tick.  The

@@ -19,6 +19,10 @@
 #     asserting the manifest/aggregate invariants (every run ok, byte-
 #     identical reruns across thread counts, bit-exact mean reconciliation)
 #     and that the dashboard renders
+#   - strict-JSON stage (same build): every .json/.jsonl that schedule
+#     (--trace/--metrics/--profile/--decisions), analyze --json and a
+#     2-scheduler campaign emit loads under Python's strict json.loads, and
+#     a 10^6-deep manifest given to `diff --campaign-a/-b` exits 1 cleanly
 #   - telemetry stage (ASan/UBSan build, plus a TSan'd live campaign): the
 #     progress/timeseries streams and the stall watchdog end to end — an
 #     artificially slowed unit (NOCEAS_TEST_STALL_UNIT/_MS) must produce
@@ -197,6 +201,56 @@ with open(os.path.join(d, "dashboard.html")) as f:
 assert "</html>" in html and "<svg" in html
 PY
 echo "    campaign: determinism + reconciliation + dashboard OK"
+
+# Strict-JSON stage (same ASan/UBSan binaries): every JSON artifact the
+# writers emit must load under Python's strict json.loads (no raw control
+# bytes, no NaN/Infinity literals), and a hostile 10^6-deep manifest must be
+# refused with a clean exit 1 rather than a stack overflow.
+echo "==> [strict-json] every emitted .json/.jsonl loads under strict json.loads"
+strict_dir="$audit_dir/strict"
+mkdir -p "$strict_dir"
+"$cli" schedule --ctg "$audit_dir/g.txt" --platform "$audit_dir/p.txt" --scheduler eas \
+  --trace "$strict_dir/trace.json" --metrics "$strict_dir/metrics.json" \
+  --profile "$strict_dir/profile.json" --decisions "$strict_dir/decisions.jsonl" \
+  >/dev/null || true  # non-zero = deadline miss
+"$cli" analyze --ctg "$audit_dir/g.txt" --platform "$audit_dir/p.txt" \
+  --scheduler edf --json "$strict_dir/analysis.json" >/dev/null
+"$cli" campaign --out "$strict_dir/camp" --categories 1 --seeds 2 \
+  --schedulers eas,edf --threads 2 --artifacts --profile --progress --timeseries \
+  --telemetry-interval-ms 50 >/dev/null
+python3 - "$strict_dir" <<'PY'
+import json, os, sys
+
+def no_constants(name):
+    raise ValueError("non-JSON literal " + name)
+
+checked = 0
+for root, _, files in os.walk(sys.argv[1]):
+    for name in sorted(files):
+        path = os.path.join(root, name)
+        if name.endswith(".json"):
+            docs = [open(path, encoding="utf-8").read()]
+        elif name.endswith(".jsonl"):
+            docs = [l for l in open(path, encoding="utf-8").read().splitlines() if l]
+        else:
+            continue
+        for doc in docs:
+            json.loads(doc, parse_constant=no_constants)  # strict=True by default
+        checked += 1
+assert checked >= 10, "expected at least 10 JSON artifacts, found %d" % checked
+print("    %d JSON artifacts load strictly" % checked)
+PY
+mkdir -p "$strict_dir/deep"
+head -c 1000000 /dev/zero | tr '\0' '[' > "$strict_dir/deep/manifest.json"
+cp "$strict_dir/deep/manifest.json" "$strict_dir/deep/aggregate.json"
+set +e
+"$cli" diff --campaign-a "$strict_dir/deep" --campaign-b "$strict_dir/deep" \
+  >/dev/null 2>"$strict_dir/deep_err.txt"
+deep_rc=$?
+set -e
+[[ $deep_rc -eq 1 ]] && grep -q "^error:.*nesting too deep" "$strict_dir/deep_err.txt" \
+  || { echo "FAIL: deep manifest exited $deep_rc (want 1)"; cat "$strict_dir/deep_err.txt"; exit 1; }
+echo "    10^6-deep manifest refused cleanly (exit 1)"
 
 # Live-telemetry stage.  Three contracts, end to end through the CLI:
 #  1. Segregation: the deterministic artifacts are byte-identical with the
